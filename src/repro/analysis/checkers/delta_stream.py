@@ -5,9 +5,8 @@ subscript assignment or deletion, in-place set mutators on the map or on
 one of its entries, through the attribute itself or a same-scope alias)
 must be paired, in the same call context, with a notification of the
 attached delta recorders: a call to
-:meth:`~repro.overlay.network.OverlayNetwork.notify_selection_change` (or
-its private alias) or direct ``note_touch`` / ``note_leave`` recorder
-calls.  ``note_join`` alone does *not* satisfy the contract -- it records
+:meth:`~repro.overlay.network.OverlayNetwork.notify_selection_change` or
+direct ``note_touch`` / ``note_leave`` recorder calls.  ``note_join`` alone does *not* satisfy the contract -- it records
 membership but not the bootstrap edges' adjacency touch, which is exactly
 the drift PR 4 fixed in ``add_peer``.
 
@@ -46,18 +45,11 @@ from repro.analysis.core import ModuleContext, Rule
 RULE_ID = "RPL001"
 
 #: Calls that count as notifying the delta recorders.
-NOTIFIERS = frozenset(
-    {"notify_selection_change", "_notify_selection_change", "note_touch", "note_leave"}
-)
+NOTIFIERS = frozenset({"notify_selection_change", "note_touch", "note_leave"})
 
 #: ``Class.function`` names the checker never inspects: the notifier itself
-#: (both spellings) is where the recorder fan-out lives.
-ALLOWLIST = frozenset(
-    {
-        "OverlayNetwork.notify_selection_change",
-        "OverlayNetwork._notify_selection_change",
-    }
-)
+#: is where the recorder fan-out lives.
+ALLOWLIST = frozenset({"OverlayNetwork.notify_selection_change"})
 
 
 class _FunctionScope:

@@ -39,9 +39,7 @@ __all__ = [
 #: Call names that count as notifying the overlay delta recorders
 #: (the RPL001 vocabulary; ``note_join`` is deliberately absent -- it
 #: records membership, not the adjacency touch).
-NOTIFIER_CALLS = frozenset(
-    {"notify_selection_change", "_notify_selection_change", "note_touch", "note_leave"}
-)
+NOTIFIER_CALLS = frozenset({"notify_selection_change", "note_touch", "note_leave"})
 
 #: Method names that count as maintaining a spatial index when called on an
 #: index-named owner (the RPL002 vocabulary).

@@ -110,7 +110,7 @@ def _record_class(symbols: ModuleSymbols, node: ast.ClassDef) -> None:
             if isinstance(statement.value, ast.Name):
                 aliased = decl.methods.get(statement.value.id)
                 if aliased is not None:
-                    # ``_notify_selection_change = notify_selection_change``
+                    # A class-level method alias: ``alias = method``
                     decl.methods[target.id] = aliased
                     symbols.functions[f"{node.name}.{target.id}"] = aliased
                     continue

@@ -6,7 +6,8 @@ one-to-one onto the experiment drivers:
 
 * ``figure1a`` / ``figure1b`` / ``figure1c`` -- the Section 2 panels,
 * ``figure1d`` / ``figure1e`` -- the Section 3 sweep (diameter / degree view),
-* ``ablations`` -- the ablations of DESIGN.md (A1-A3), the overlay-churn
+* ``ablations`` -- the ablations of :mod:`repro.experiments.ablations`:
+  baselines, pick strategy and tree churn (A1-A3), the overlay-churn
   reconvergence ablation (A4), the message-replay dirty-set reselection
   ablation (A5), the event-driven tree-maintenance ablation (A6), the
   batched-epoch trace-convergence ablation (A7) and the real-network

@@ -18,18 +18,19 @@ _F = TypeVar("_F", bound=Callable)
 def hot_path(function: _F) -> _F:
     """Mark an O(churn) incremental entry point.
 
-    A ``@hot_path`` function is one the "Road to N>=100k" ROADMAP item
-    promises stays proportional to the *change set*, never the population:
-    the delta-recorder notifications, the mirror/tree/connectivity repair
-    paths that consume drained deltas, the engine's membership notes
-    (``note_join``/``note_leave``/``note_move``) and its round-scheduling
-    core (``_plan_round``; the public ``run_round`` wrapper is documented
-    O(N)-capable and deliberately unmarked), and the columnar candidate
-    state's epoch/log writes.  reprolint's RPL005 rule walks the
-    call graph from every marked function and flags full-population
-    iteration or O(N) id-set materialisation anywhere in the closure; a
-    flagged construct needs either a restructure or a justified pragma with
-    a scaling argument.
+    A ``@hot_path`` function is one that must stay proportional to the
+    *change set*, never the population: the delta-recorder notifications,
+    the mirror/tree/connectivity repair paths that consume drained deltas,
+    the shared reselect rule, and the overlay's epoch-delta notes
+    (``OverlayNetwork._note_join``/``_note_leave``/``_note_move``), which
+    record each membership event in O(1) or O(selectors) so that a
+    full-knowledge convergence is one install over the epoch's changes.
+    The install itself builds a population-sized cohort id array and is
+    deliberately unmarked.  reprolint's RPL005 rule walks the call graph
+    from every marked function and flags full-population iteration or
+    O(N) id-set materialisation anywhere in the closure; a flagged
+    construct needs either a restructure or a justified pragma with a
+    scaling argument.
 
     The decorator itself only sets an attribute -- behaviour is unchanged,
     and the marker survives ``functools.wraps`` copying.

@@ -1,7 +1,6 @@
 """Ablations: design choices the paper states but does not quantify.
 
-Three ablations complement the figure reproductions (ids A1-A3 in
-DESIGN.md):
+These ablations complement the figure reproductions (ids A1-A8):
 
 * **Baseline comparison (A1)** -- the introduction motivates the work with
   "existing solutions send many messages"; this ablation measures the
@@ -18,8 +17,8 @@ DESIGN.md):
 * **Overlay churn (A4)** -- the paper's churn experiments replay departures
   only against the multicast *tree*; this ablation replays joins and
   lifetime-ordered departures against the *overlay* itself, converging after
-  every membership event on the incremental reselection engine (the fast
-  path that makes per-event convergence affordable), and reports the
+  every membership event on the incremental convergence path (the
+  fast path that makes per-event convergence affordable), and reports the
   reconvergence effort and whether the overlay ever disconnects.  The
   connectivity verdict comes from an
   :class:`repro.multicast.incremental.IncrementalConnectivity` tracker fed
@@ -401,9 +400,9 @@ def run_overlay_churn_ablation(
     Every peer joins one at a time and the overlay converges after every
     join (the paper's insertion procedure); then peers depart in lifetime
     order with the overlay reconverging after every departure.  All
-    convergence runs on the incremental reselection engine -- the churn loop
+    convergence runs on the incremental convergence path -- the churn loop
     this ablation exists to exercise -- and the row records how many
-    reselection rounds the engine needed and whether the overlay was ever
+    reselection rounds convergence needed and whether the overlay was ever
     observed disconnected after settling.  The connectivity check runs on
     the delta-fed :class:`IncrementalConnectivity` tracker, so no graph is
     reconstructed inside the per-event loop; the row also reports how many

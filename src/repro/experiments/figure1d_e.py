@@ -143,7 +143,7 @@ def run_stability_sweep(
 
     ``procedure="insertion"`` rebuilds every ``(D, K)`` overlay with the
     paper-literal churn loop -- peers inserted one at a time, converging
-    after every insertion -- on the incremental reselection engine instead
+    after every insertion -- on the incremental convergence path instead
     of the direct equilibrium jump.  Both procedures reach the same
     full-knowledge topology; the insertion replay exists to validate that
     equivalence at figure scale, which the engine makes affordable.

@@ -15,11 +15,11 @@ Two layers use this module:
   (individual announcements with timestamps and expiry) and uses
   :class:`AnnouncementStore` to model the ``Tmax`` window.
 
-A bounded radius makes every ``I(P)`` a genuinely *explicit* per-peer set,
-which is why gossip-limited overlays always run the incremental engine on
-``repro.overlay.incremental.ExplicitCandidateState``: the implicit
-columnar representation (``repro.overlay.columnar``) can only express the
-full-knowledge "everyone alive but me" shape.
+A bounded radius makes every ``I(P)`` a genuinely *explicit* per-peer set
+that depends on the topology, which is why gossip-limited overlays converge
+through real rounds of the incremental engine
+(``repro.overlay.incremental.ExplicitCandidateState``), while full-knowledge
+overlays, whose ``I(P)`` is "everyone alive but me", settle in one install.
 """
 
 from __future__ import annotations

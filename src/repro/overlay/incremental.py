@@ -4,13 +4,20 @@ The paper's experimental procedure inserts peers one at a time and lets the
 overlay converge after every insertion.  Running that with full synchronous
 sweeps (:meth:`repro.overlay.network.OverlayNetwork.reselect_round`) costs a
 full ``select()`` for every peer in every round, which makes the procedure
-roughly cubic in the population size.  This module maintains the information
-needed to re-run selection *only where something could have changed* -- the
+roughly cubic in the population size.  This module holds the machinery that
+re-runs selection *only where something could have changed* -- the
 reaction-to-deltas pattern gossip aggregation protocols use to reach large
 populations.
 
-Dirty-set invariants
---------------------
+Under full knowledge a peer's selection is a pure function of the alive
+population, so one install settles every epoch; that path lives in
+:meth:`repro.overlay.network.OverlayNetwork.converge` and needs no rounds.
+A bounded gossip radius makes every candidate set ``I(P)`` a per-peer
+subset that depends on the topology itself, so convergence there takes
+real rounds, driven by :class:`IncrementalReselectionEngine`.
+
+Dirty-set invariants (gossip-limited overlays)
+----------------------------------------------
 
 The engine tracks, for every peer ``P``:
 
@@ -26,36 +33,12 @@ Clean peers therefore provably reproduce their current selection, so a
 partial round that re-selects only dirty peers installs the same topology a
 full synchronous sweep would; by induction the incremental path follows the
 full-sweep trajectory round for round and terminates in the identical fixed
-point (the cross-check property tests exercise exactly this).
-
-*How* that state is represented lives behind the :class:`CandidateView`
-contract, with two interchangeable implementations:
-
-* the **implicit columnar representation**
-  (:class:`repro.overlay.columnar.ColumnarCandidateState`, the default
-  under full knowledge): ``I(P)`` is "everyone alive but ``P``", so the
-  engine stores a population epoch counter plus per-row epoch stamps and
-  needs-full flags in dense numpy columns, and resolves candidate deltas
-  lazily from a membership event log in O(changes) -- no O(N) id set is
-  ever materialised on the per-event path, and ``note_join``/``note_leave``
-  are O(1)/O(selectors) array writes;
-* the **explicit representation** (:class:`ExplicitCandidateState`, the
-  fallback): per-peer ``last_candidates`` frozensets with pending gain/loss
-  accumulators under full knowledge, and cached bounded-hop reachability
-  via :func:`repro.overlay.gossip.knowledge_set_deltas` (which re-explores
-  only peers within ``BR`` hops of a changed overlay edge) under a gossip
-  radius.  Required whenever candidate sets are per-peer subsets; also
-  selectable under full knowledge (``columnar=False``) for cross-checks.
-
-Both representations feed the same :func:`classify_reselect` rule with
-identical candidate deltas (up to a documented widening for
-leave-then-rejoin windows that provably classifies the same), so fixed
-points -- and whole convergence trajectories -- are byte-identical across
-them; the hypothesis suites in ``tests/overlay`` assert this.
-
-Dirtiness is seeded by membership events (the joined peer, departed peers'
-selectors, a moved peer and its selectors) and propagated each round
-through candidate-set deltas.
+point (the cross-check property tests exercise exactly this).  Dirtiness is
+seeded by membership events (the joined peer, departed peers' selectors, a
+moved peer and everyone whose candidate set held it) and propagated through
+cached bounded-hop reachability
+(:func:`repro.overlay.gossip.knowledge_set_deltas` re-explores only peers
+within ``BR`` hops of a changed overlay edge).
 
 When the selection method declares itself *path independent*
 (:attr:`~repro.overlay.selection.base.NeighbourSelectionMethod.path_independent`),
@@ -105,24 +88,11 @@ is recorded, and :meth:`OverlayDeltaRecorder.drain` returns the accumulated
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.contracts import hot_path
 from repro.overlay.gossip import knowledge_set_deltas, knowledge_sets
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.base import AdditiveCohort
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.overlay.network import OverlayNetwork
@@ -132,14 +102,11 @@ __all__ = [
     "RESELECT_SKIP",
     "RESELECT_ADDITIVE",
     "classify_reselect",
-    "CandidateView",
     "ExplicitCandidateState",
     "IncrementalReselectionEngine",
     "OverlayDelta",
     "OverlayDeltaRecorder",
     "DirectedSelectionMirror",
-    "RoundPlan",
-    "RoundWindow",
 ]
 
 
@@ -343,271 +310,82 @@ def classify_reselect(
     return RESELECT_ADDITIVE
 
 
-#: Per-peer round plan entry: ``(peer_id, verdict, gained, lost)``.
-_PlanEntry = Tuple[int, str, Set[int], Set[int]]
+class ExplicitCandidateState:
+    """Per-peer candidate bookkeeping for gossip-limited overlays.
 
+    Keeps a materialised ``last_candidates`` frozenset per peer (``None``
+    forces a full recomputation), the dirty set, and cached bounded-hop
+    reachability together with the adjacency it was computed under.  A
+    bounded radius makes every candidate set a genuinely per-peer subset,
+    so this explicit representation is the honest one.
 
-@dataclass(frozen=True)
-class RoundWindow:
-    """One shared delta window of a :class:`RoundPlan`.
-
-    ``members`` is a boolean mask over the plan's scheduled positions
-    selecting the peers that carry this window *and* classified additive;
-    ``gained`` is the candidate-id set their candidate sets gained -- one
-    set shared by the whole group, which is what collapses the per-peer
-    delta bookkeeping into a cohort install.  (The window's lost ids never
-    reach the install phase: losses only matter to classification.)
-    """
-
-    members: "np.ndarray"
-    gained: FrozenSet[int]
-
-
-@dataclass(frozen=True)
-class RoundPlan:
-    """A whole convergence round, classified as columns over dense rows.
-
-    Produced by :meth:`CandidateView.plan_round` on views that support the
-    vectorised round protocol: ``scheduled_rows`` are the dirty
-    :class:`~repro.overlay.columnar.DenseIdMap` rows (in row order),
-    ``scheduled_ids`` the aligned peer ids, and the three verdict masks
-    partition the scheduled positions exactly as the per-peer
-    :func:`classify_reselect` loop would (``full | skip | additive``, mutually
-    disjoint).  Additive positions are grouped into :class:`RoundWindow`
-    cohorts sharing one gained set each.
-    """
-
-    scheduled_rows: "np.ndarray"
-    scheduled_ids: "np.ndarray"
-    full_mask: "np.ndarray"
-    skip_mask: "np.ndarray"
-    additive_mask: "np.ndarray"
-    windows: Tuple[RoundWindow, ...]
-
-#: Non-``None`` stand-in passed to :func:`classify_reselect` when a view
-#: reports per-peer history without materialising the candidate set itself
-#: (the rule only distinguishes ``None`` from "history exists"; the actual
-#: ids travel through ``gained``/``lost``).
-_HAS_HISTORY: FrozenSet[int] = frozenset()
-
-
-class CandidateView:
-    """Representation contract for the engine's candidate bookkeeping.
-
-    A view owns everything the engine knows about candidate sets -- per-peer
-    history, dirtiness, pending deltas -- behind a representation-neutral
-    surface, so the engine's orchestration (classification, batched
-    selection, installs) is written once.  Two implementations exist: the
-    implicit columnar one (:class:`repro.overlay.columnar.ColumnarCandidateState`,
-    full knowledge only, the default) and the explicit dict-backed one
-    (:class:`ExplicitCandidateState`, the gossip-radius/fallback path).
-
-    The contract both must satisfy: for every scheduled peer,
-    :meth:`delta` must return a ``(has_history, gained, lost)`` triple such
-    that :func:`classify_reselect` reaches a verdict installing the same
-    selection the other representation would install -- the deltas may
-    differ in documented, verdict-equivalent ways (see
-    :mod:`repro.overlay.columnar`), the installed topologies may not.
-
-    Round protocol: ``begin_round`` -> engine classifies via ``delta`` and
-    ``forget`` -> engine installs, materialising scan-path candidate sets
-    via ``full_candidate_ids`` -> ``commit`` per planned peer ->
-    ``end_round``.  Membership notifications (``note_join`` / ``note_leave``
-    / ``note_move``) arrive between rounds, never inside one.
-
-    Views may additionally support the *vectorised* round protocol by
-    overriding :meth:`plan_round`: one call replaces ``begin_round`` + the
-    per-peer ``delta``/classify loop, returning verdict columns instead of
-    per-peer triples.  A vectorised round still closes with ``end_round``,
-    but ``commit`` is never invoked on it -- a view that returns plans must
-    fold its round history wholesale in ``end_round`` (the columnar view
-    already does; its ``commit`` is a no-op for exactly this reason).
-    """
-
-    def note_join(self, peer_id: int) -> None:
-        """A peer was added (already present in the overlay's peer map)."""
-        raise NotImplementedError
-
-    def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
-        """A peer was removed; ``selector_ids`` had it in their neighbour sets."""
-        raise NotImplementedError
-
-    def note_move(self, peer_id: int) -> None:
-        """A peer's coordinates changed in place (same id, same links)."""
-        raise NotImplementedError
-
-    def begin_round(self) -> List[int]:
-        """Start a round; return the sorted ids scheduled for classification."""
-        raise NotImplementedError
-
-    def plan_round(
-        self,
-        selectors_of: Mapping[int, Set[int]],
-        path_independent: bool,
-    ) -> Optional[RoundPlan]:
-        """Start a round *and* classify it in vectorised column form.
-
-        ``selectors_of`` is the overlay's reverse selector index (``target
-        id -> ids whose installed selection contains it``), which is how a
-        plan resolves the ``lost & installed_selection`` term of
-        :func:`classify_reselect` in O(changes) instead of per-peer set
-        intersections.  Returns ``None`` (the default) when the view keeps
-        the per-peer protocol -- the engine then falls back to
-        ``begin_round``/``delta``/``commit`` -- or a :class:`RoundPlan`
-        whose verdict columns the engine installs directly.  A returned
-        plan, even an empty one, claims the round: the engine will close a
-        non-empty plan with ``end_round`` and never call ``commit``.
-        """
-        return None
-
-    def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
-        """``(has_history, gained, lost)`` for one scheduled peer."""
-        raise NotImplementedError
-
-    def full_candidate_ids(self, peer_id: int) -> Set[int]:
-        """Materialise one peer's current candidate id set (scan path only)."""
-        raise NotImplementedError
-
-    def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
-        """Record that the peer's selection is now consistent with ``I(P)``."""
-        raise NotImplementedError
-
-    def forget(self, peer_id: int) -> None:
-        """Drop bookkeeping for a scheduled id that left the overlay."""
-        raise NotImplementedError
-
-    def end_round(self) -> None:
-        """Close the round: clean every scheduled peer, drop round memos."""
-        raise NotImplementedError
-
-    def dirty_ids(self) -> FrozenSet[int]:
-        """Peers whose candidate sets may have changed since last selection."""
-        raise NotImplementedError
-
-
-class ExplicitCandidateState(CandidateView):
-    """Explicit dict/frozenset candidate bookkeeping (the fallback view).
-
-    Keeps a materialised ``last_candidates`` frozenset per peer, pending
-    gain/loss id accumulators under full knowledge, and cached bounded-hop
-    reachability under a gossip radius.  This is the only representation
-    that can express per-peer candidate *subsets*, so gossip-limited
-    overlays always use it; full-knowledge overlays built with
-    ``columnar=False`` use it too (the benchmark baselines, and the
-    property suites cross-checking the columnar path).  Its per-event cost
-    is O(N) -- ``note_join``/``note_leave`` walk every tracked peer -- which
-    is exactly what the columnar view exists to avoid.
+    Round protocol: :meth:`begin_round` refreshes reachability against the
+    pre-round topology and returns the sorted dirty ids; the engine reads
+    :meth:`delta` / :meth:`candidate_ids` for each of them *before*
+    installing anything (each peer's candidate set is computed once per
+    round and cached); :meth:`end_round` records the cached sets as the new
+    history of every scheduled peer.  Membership notifications
+    (``note_join`` / ``note_leave`` / ``note_move``) arrive between rounds,
+    never inside one.
     """
 
     def __init__(self, overlay: "OverlayNetwork") -> None:
         self._overlay = overlay
         self._radius = overlay.gossip_radius
-        # I(P) at each peer's last installed selection; None forces a full
-        # recomputation for that peer.
         self._last_candidates: Dict[int, Optional[FrozenSet[int]]] = {}
-        # Full-knowledge mode: membership deltas accumulated since each
-        # peer's last selection (ids only, so a join costs O(N) set adds).
-        self._pending_gain: Dict[int, Set[int]] = {}
-        self._pending_loss: Dict[int, Set[int]] = {}
         self._dirty: Set[int] = set()
-        # Gossip-limited mode: cached bounded-hop reachability and the
-        # adjacency it was computed under.
-        self._known: Dict[int, Set[int]] = {}
-        self._prev_adjacency: Dict[int, Set[int]] = {}
-        # Candidate id sets materialised during the current round, so the
-        # classification (gossip deltas) and the install/commit phases
-        # compute each set once.
+        # Candidate id sets materialised during the current round.
         self._round_candidates: Dict[int, Set[int]] = {}
         # Adopt the overlay's current state: everything dirty, no history.
         for peer_id in overlay.peer_ids:
             self._last_candidates[peer_id] = None
             self._dirty.add(peer_id)
-        if self._radius is not None:
-            self._prev_adjacency = {
-                peer_id: set(neighbour_ids)
-                for peer_id, neighbour_ids in overlay.adjacency().items()
-            }
-            self._known = knowledge_sets(self._prev_adjacency, self._radius)
+        self._prev_adjacency: Dict[int, Set[int]] = {
+            peer_id: set(neighbour_ids)
+            for peer_id, neighbour_ids in overlay.adjacency().items()
+        }
+        self._known: Dict[int, Set[int]] = knowledge_sets(
+            self._prev_adjacency, self._radius
+        )
 
     # ------------------------------------------------------------------
     # Membership notifications
     # ------------------------------------------------------------------
     def note_join(self, peer_id: int) -> None:
-        members = self._overlay._peers  # noqa: SLF001 - view is a friend class
+        """The joiner has no history; reachability deltas at the next round
+        pick up its edges (the empty cache entry keeps candidate building
+        from failing before then)."""
         self._last_candidates[peer_id] = None
         self._dirty.add(peer_id)
-        if self._radius is not None:
-            # Reachability deltas at the next round pick up the new edges;
-            # seed an empty cache entry so candidate building never KeyErrors.
-            self._known.setdefault(peer_id, set())
-            return
-        for other in members:
-            if other == peer_id:
-                continue
-            self._dirty.add(other)
-            if self._last_candidates.get(other) is None:
-                continue
-            # A re-join of a previously departed id supersedes its loss.
-            self._pending_loss.setdefault(other, set()).discard(peer_id)
-            self._pending_gain.setdefault(other, set()).add(peer_id)
+        self._known.setdefault(peer_id, set())
 
     def note_leave(self, peer_id: int, selector_ids: Iterable[int]) -> None:
         """Selectors' installed neighbour sets were just mutated (the
         departed id was stripped), so no selection consistent with any
         candidate set exists for them any more: they are forced onto the
-        full-recompute path.  Everyone else merely lost a candidate it had
-        not selected."""
+        full-recompute path.  The vanished edges are picked up by the
+        adjacency diff at the next round (``_prev_adjacency`` still holds
+        them on purpose)."""
         self.forget(peer_id)
         for selector in selector_ids:
             self._last_candidates[selector] = None
             self._dirty.add(selector)
-        if self._radius is not None:
-            # The vanished edges are picked up by the adjacency diff at the
-            # next round; _prev_adjacency still holds them on purpose.
-            return
-        for other in self._overlay._peers:  # noqa: SLF001
-            if self._last_candidates.get(other) is None:
-                self._dirty.add(other)
-                continue
-            self._pending_gain.setdefault(other, set()).discard(peer_id)
-            if peer_id in self._last_candidates[other]:
-                self._pending_loss.setdefault(other, set()).add(peer_id)
-                self._dirty.add(other)
 
     def note_move(self, peer_id: int) -> None:
-        """The mover needs a full recompute; everyone that tracked it sees
-        the id in both ``gained`` and ``lost``, which forces its selectors
-        onto the full path (lost ∩ installed) and re-offers the refreshed
-        :class:`~repro.overlay.peer.PeerInfo` additively to the rest (infos
-        are resolved from the live peer map at install time)."""
+        """Bounded knowledge tracks candidate *ids*, which a move leaves
+        untouched -- the changed coordinates are only visible through a
+        recomputation, so the mover and every peer that may know it are
+        forced onto the full path."""
         self._last_candidates[peer_id] = None
         self._dirty.add(peer_id)
-        if self._radius is not None:
-            # Bounded knowledge tracks candidate *ids*, which a move leaves
-            # untouched -- the changed coordinates are only visible through
-            # a recomputation, so every peer that may know the mover is
-            # forced onto the full path.
-            for other, last in self._last_candidates.items():
-                if last is not None and peer_id in last:
-                    self._last_candidates[other] = None
-                    self._dirty.add(other)
-            return
-        for other in self._overlay._peers:  # noqa: SLF001
-            if other == peer_id:
-                continue
-            last = self._last_candidates.get(other)
-            if last is None:
-                self._dirty.add(other)
-                continue
-            if peer_id in last:
-                self._pending_gain.setdefault(other, set()).add(peer_id)
-                self._pending_loss.setdefault(other, set()).add(peer_id)
+        for other, last in self._last_candidates.items():
+            if last is not None and peer_id in last:
+                self._last_candidates[other] = None
                 self._dirty.add(other)
 
     def forget(self, peer_id: int) -> None:
+        """Drop bookkeeping for an id that left the overlay."""
         self._last_candidates.pop(peer_id, None)
-        self._pending_gain.pop(peer_id, None)
-        self._pending_loss.pop(peer_id, None)
         self._dirty.discard(peer_id)
         self._known.pop(peer_id, None)
 
@@ -615,57 +393,37 @@ class ExplicitCandidateState(CandidateView):
     # Rounds
     # ------------------------------------------------------------------
     def begin_round(self) -> List[int]:
-        """Refresh reachability (gossip mode), return the sorted dirty ids."""
-        if self._radius is not None:
-            self._refresh_reachability()
+        """Refresh reachability, return the sorted dirty ids."""
+        self._refresh_reachability()
         return sorted(self._dirty)
 
-    def delta(self, peer_id: int) -> Tuple[bool, Set[int], Set[int]]:
-        last = self._last_candidates.get(peer_id)
-        if last is None:
-            return False, set(), set()
-        if self._radius is None:
-            members = self._overlay._peers  # noqa: SLF001
-            gained = {g for g in self._pending_gain.get(peer_id, ()) if g in members}
-            lost = set(self._pending_loss.get(peer_id, ()))
-            return True, gained, lost
-        current_ids = self._overlay._candidate_ids(  # noqa: SLF001
-            peer_id, self._known.get(peer_id, ())
-        )
-        self._round_candidates[peer_id] = current_ids
-        return True, current_ids - last, last - current_ids
-
-    def full_candidate_ids(self, peer_id: int) -> Set[int]:
+    def candidate_ids(self, peer_id: int) -> Set[int]:
+        """One peer's current candidate id set, computed once per round."""
         cached = self._round_candidates.get(peer_id)
-        if cached is not None:
-            return cached
-        if self._radius is None:
-            current_ids = set(self._overlay._peers)  # noqa: SLF001
-            current_ids.discard(peer_id)
-        else:
-            current_ids = self._overlay._candidate_ids(  # noqa: SLF001
+        if cached is None:
+            cached = self._overlay._candidate_ids(  # noqa: SLF001 - friend class
                 peer_id, self._known.get(peer_id, ())
             )
-        self._round_candidates[peer_id] = current_ids
-        return current_ids
+            self._round_candidates[peer_id] = cached
+        return cached
 
-    def commit(self, peer_id: int, verdict: str, gained: Set[int], lost: Set[int]) -> None:
-        if verdict == RESELECT_FULL:
-            self._last_candidates[peer_id] = frozenset(self.full_candidate_ids(peer_id))
-        else:
-            last = self._last_candidates[peer_id]
-            assert last is not None  # non-FULL verdicts imply history
-            # (last - lost) | gained, in this order: an id in both sets (a
-            # move, a leave-then-rejoin) must survive in the new history.
-            self._last_candidates[peer_id] = frozenset((last - lost) | gained)
-        self._pending_gain.pop(peer_id, None)
-        self._pending_loss.pop(peer_id, None)
+    def delta(self, peer_id: int) -> Tuple[Optional[FrozenSet[int]], Set[int], Set[int]]:
+        """``(last candidates, gained, lost)`` for one scheduled peer."""
+        last = self._last_candidates.get(peer_id)
+        if last is None:
+            return None, set(), set()
+        current = self.candidate_ids(peer_id)
+        return last, current - last, last - current
 
-    def end_round(self) -> None:
+    def end_round(self, scheduled: Iterable[int]) -> None:
+        """Record each scheduled peer's round candidate set as its history."""
+        for peer_id in scheduled:
+            self._last_candidates[peer_id] = frozenset(self.candidate_ids(peer_id))
         self._dirty.clear()
         self._round_candidates.clear()
 
     def dirty_ids(self) -> FrozenSet[int]:
+        """Peers whose candidate sets may have changed since last selection."""
         return frozenset(self._dirty)
 
     def _refresh_reachability(self) -> None:
@@ -689,188 +447,79 @@ class ExplicitCandidateState(CandidateView):
 
 
 class IncrementalReselectionEngine:
-    """Delta-driven convergence state for one :class:`OverlayNetwork`.
+    """Dirty-set convergence rounds for one gossip-limited :class:`OverlayNetwork`.
 
     The engine is created lazily by the first ``converge(incremental=True)``
-    call and kept in sync through the overlay's membership methods; a
-    full-sweep round invalidates it (the sweep rewrites every neighbour set
-    outside the engine's bookkeeping), after which the next incremental
+    call on an overlay with a gossip radius and kept in sync through the
+    overlay's membership methods; a full-sweep round or an aborted
+    convergence invalidates it, after which the next incremental
     convergence starts from an all-dirty state -- one batched full round --
-    and is incremental from there on.
-
-    Candidate bookkeeping lives behind the :class:`CandidateView` contract.
-    A full-knowledge overlay that owns a dense id map (the default) gets the
-    implicit columnar representation -- per-event notifications are O(1)
-    array writes; see :mod:`repro.overlay.columnar` -- while gossip-limited
-    overlays, and full-knowledge overlays built with ``columnar=False``,
-    fall back to :class:`ExplicitCandidateState`.  Both feed the shared
-    :func:`classify_reselect` rule and install byte-identical selections,
-    so the representation choice is invisible above this class.
+    and is incremental from there on.  Full-knowledge overlays never build
+    one: their convergence is a single install (see
+    :meth:`repro.overlay.network.OverlayNetwork.converge`).
     """
 
-    def __init__(
-        self, overlay: "OverlayNetwork", *, vectorised: Optional[bool] = None
-    ) -> None:
-        # Imported here: repro.overlay.columnar subclasses this module's
-        # CandidateView/OverlayDeltaRecorder, so the dependency must stay
-        # one-directional at import time.
-        from repro.overlay.columnar import ColumnarCandidateState
-
+    def __init__(self, overlay: "OverlayNetwork") -> None:
         self._overlay = overlay
-        id_rows = overlay.id_rows
-        self._view: CandidateView = (
-            ColumnarCandidateState(id_rows)
-            if id_rows is not None and overlay.gossip_radius is None
-            else ExplicitCandidateState(overlay)
-        )
-        # Vectorised rounds are on unless explicitly disabled; the flag only
-        # decides whether plan_round is *offered* -- views without a plan
-        # (the explicit fallback) keep the per-peer protocol either way.
-        self._vectorised = vectorised is not False
+        self._candidates = ExplicitCandidateState(overlay)
 
-    # ------------------------------------------------------------------
-    # Introspection (used by tests)
-    # ------------------------------------------------------------------
     @property
     def dirty_peers(self) -> FrozenSet[int]:
         """Peers whose candidate sets may have changed since last selection."""
-        return self._view.dirty_ids()
+        return self._candidates.dirty_ids()
 
-    # ------------------------------------------------------------------
-    # Membership notifications (the per-event hot path)
-    # ------------------------------------------------------------------
-    @hot_path
     def note_join(self, peer_id: int) -> None:
         """A peer was added (already present in the overlay's peer map)."""
-        self._view.note_join(peer_id)
+        self._candidates.note_join(peer_id)
 
-    @hot_path
     def note_leave(self, peer_id: int, selectors: Iterable[int]) -> None:
         """A peer was removed; ``selectors`` had it in their neighbour sets."""
-        self._view.note_leave(peer_id, selectors)
+        self._candidates.note_leave(peer_id, selectors)
 
-    @hot_path
     def note_move(self, peer_id: int) -> None:
         """A peer's coordinates changed in place (same id, same links)."""
-        self._view.note_move(peer_id)
+        self._candidates.note_move(peer_id)
 
-    # ------------------------------------------------------------------
-    # Rounds
-    # ------------------------------------------------------------------
     def run_round(self) -> bool:
         """One partial synchronous round; ``True`` if any selection changed.
 
-        Candidate sets are derived from the pre-round topology (the view
-        refreshes reachability before any selection is installed), and all
-        updates are installed at once -- the same synchronous semantics as
-        the full sweep, restricted to dirty peers.
-
-        This wrapper is the *deliberately O(N)* sweep entry: building the
-        schedule costs one pass over the population (a vectorised mask over
-        the row columns in the columnar view, a sort of the dirty set in
-        the explicit one), which is the right trade for a synchronous
-        round.
-
-        Two protocols sit below it.  The vectorised one (the default on
-        views that support it, i.e. the columnar representation): one
-        :meth:`CandidateView.plan_round` call schedules *and* classifies
-        the round as numpy verdict columns, and :meth:`_install_plan`
-        resolves it through the selection family's cohort entry
-        (:meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`)
-        -- the O(N) sweep is numpy passes, every Python loop is O(dirty
-        ids + changes).  The per-peer one (the explicit view, and the
-        ``vectorised_rounds=False`` baseline arm): the O(dirty + changes)
-        classification core :meth:`_plan_round` -- the hot-path half --
-        followed by a batched install phase that only touches planned
-        peers.  Both install byte-identical selections (property-tested on
-        every representation arm).
+        Candidate sets are derived from the pre-round topology (reachability
+        is refreshed and every scheduled peer's candidate set is computed
+        before any selection is installed), and all updates are installed
+        at once through
+        :meth:`~repro.overlay.network.OverlayNetwork.install_selections` --
+        the same synchronous semantics as the full sweep, restricted to
+        dirty peers.  Each dirty peer is classified by
+        :func:`classify_reselect`: full verdicts recompute against the whole
+        candidate set, additive ones go through the method's delta rule (or
+        re-select from ``selection + gained``), skips install nothing.
         """
-        if self._vectorised:
-            plan = self._view.plan_round(
-                self._overlay._selectors_of,  # noqa: SLF001 - friend class
-                self._overlay.selection.path_independent,
-            )
-            if plan is not None:
-                if plan.scheduled_rows.size == 0:
-                    return False
-                changed = self._install_plan(plan)
-                self._view.end_round()
-                return changed
-        schedule = self._view.begin_round()
+        candidates = self._candidates
+        schedule = candidates.begin_round()
         if not schedule:
             return False
-        entries = self._plan_round(schedule)
-        changed = self._install_round(entries)
-        self._view.end_round()
-        return changed
-
-    @hot_path
-    def _plan_round(self, schedule: List[int]) -> List[_PlanEntry]:
-        """Classify every scheduled peer: O(dirty + changes), no id sets.
-
-        Resolves each scheduled peer's candidate delta through the view and
-        runs :func:`classify_reselect` on it; all population-sized work
-        (candidate materialisation for scan-path full recomputes, the
-        selections themselves) is deferred to the install phase, so this
-        core stays within the hot-path complexity contract whichever
-        representation is active.
-        """
         overlay = self._overlay
         members = overlay._peers  # noqa: SLF001 - engine is a friend class
         neighbour_sets = overlay._neighbours  # noqa: SLF001
-        path_independent = overlay.selection.path_independent
-        view = self._view
-        plan: List[_PlanEntry] = []
+        selection = overlay.selection
+        scheduled: List[int] = []
+        references: List[PeerInfo] = []
+        candidates_by_peer: Dict[int, List[PeerInfo]] = {}
+        additive_updates: List[Tuple[PeerInfo, List[PeerInfo], List[PeerInfo]]] = []
         for peer_id in schedule:
             if peer_id not in members:
-                view.forget(peer_id)
+                candidates.forget(peer_id)
                 continue
-            has_history, gained, lost = view.delta(peer_id)
+            scheduled.append(peer_id)
+            last, gained, lost = candidates.delta(peer_id)
             verdict = classify_reselect(
-                _HAS_HISTORY if has_history else None,
-                gained,
-                lost,
-                neighbour_sets[peer_id],
-                path_independent,
+                last, gained, lost, neighbour_sets[peer_id], selection.path_independent
             )
-            plan.append((peer_id, verdict, gained, lost))
-        return plan
-
-    def _install_round(self, plan: List[_PlanEntry]) -> bool:
-        """Run and install the planned selections; commit view history.
-
-        Under full knowledge with an owned index, full recomputations are
-        answered from the index: the O(N) candidate scan inside the
-        selection disappears.  (The index only exists when the population
-        is every peer's candidate set, so the two paths are byte-identical
-        by the selection methods' indexed-path contract.)  With the
-        columnar view active nothing here materialises an O(N) id set
-        either -- indexed full recomputes and additive updates never call
-        :meth:`CandidateView.full_candidate_ids` -- so the engine's whole
-        per-round cost beyond the selections is O(dirty + changes).
-        """
-        overlay = self._overlay
-        view = self._view
-        members = overlay._peers  # noqa: SLF001
-        neighbour_sets = overlay._neighbours  # noqa: SLF001
-        selection = overlay.selection
-        index = overlay._selection_index()  # noqa: SLF001
-        references: List[PeerInfo] = []
-        indexed_references: List[PeerInfo] = []
-        candidates_by_peer: Dict[int, List[PeerInfo]] = {}
-        additive_updates: List = []
-
-        for peer_id, verdict, gained, _lost in plan:
             if verdict == RESELECT_FULL:
-                # Full recomputation against the complete candidate set.
-                if index is not None:
-                    indexed_references.append(members[peer_id])
-                else:
-                    candidates_by_peer[peer_id] = [
-                        members[other]
-                        for other in sorted(view.full_candidate_ids(peer_id))
-                    ]
-                    references.append(members[peer_id])
+                candidates_by_peer[peer_id] = [
+                    members[other] for other in sorted(candidates.candidate_ids(peer_id))
+                ]
+                references.append(members[peer_id])
             elif verdict == RESELECT_ADDITIVE:
                 # Gains only: path independence lets the previous selection
                 # stand in for the full previous candidate set.
@@ -883,7 +532,7 @@ class IncrementalReselectionEngine:
                 )
             # RESELECT_SKIP: the installed selection provably still holds.
 
-        additive_results: Optional[Dict[int, List[int]]] = None
+        results: Dict[int, List[int]] = {}
         if additive_updates:
             additive_results = selection.select_many_additive(additive_updates)
             if additive_results is None:
@@ -894,72 +543,10 @@ class IncrementalReselectionEngine:
                         selection.merge_candidate_delta(selected, gained_infos)
                     )
                     references.append(reference)
-
-        results: Dict[int, List[int]] = {}
+            else:
+                results.update(additive_results)
         if references:
             results.update(selection.select_many(references, candidates_by_peer))
-        if indexed_references:
-            # The additive fallback above may have appended scan references
-            # with *reduced* candidate sets, so the indexed batch is kept
-            # separate: only full-candidate recomputations may consult the
-            # index.
-            results.update(selection.select_many(indexed_references, {}, index=index))
-        if additive_results:
-            results.update(additive_results)
         changed = overlay.install_selections(results)
-        for peer_id, verdict, gained, lost in plan:
-            view.commit(peer_id, verdict, gained, lost)
+        candidates.end_round(scheduled)
         return changed
-
-    def _install_plan(self, plan: RoundPlan) -> bool:
-        """Resolve and install one vectorised round plan.
-
-        The column counterpart of :meth:`_install_round`: the verdict masks
-        are gathered into one cohort-install call --
-        :meth:`~repro.overlay.selection.base.NeighbourSelectionMethod.install_many`
-        -- and the results land in ``OverlayNetwork._neighbours`` through
-        the single :meth:`~repro.overlay.network.OverlayNetwork.install_selections`
-        fan-out, which preserves the RPL001 delta-stream contract per peer.
-        Python work here is O(full verdicts + changed selections): additive
-        cohorts stay implicit id arrays, so the (usually population-sized)
-        additive cohort after an epoch costs numpy passes plus the changed
-        members only.  ``commit`` is never called on this path; the view
-        folds the round wholesale in ``end_round``.
-        """
-        overlay = self._overlay
-        members = overlay._peers  # noqa: SLF001
-        neighbour_sets = overlay._neighbours  # noqa: SLF001
-        selection = overlay.selection
-        view = self._view
-        index = overlay._selection_index()  # noqa: SLF001
-        ids = plan.scheduled_ids
-
-        full_ids = np.sort(ids[plan.full_mask])
-        full_references = [members[int(peer_id)] for peer_id in full_ids]
-        candidates_by_peer: Dict[int, List[PeerInfo]] = {}
-        if index is None:
-            for reference in full_references:
-                candidates_by_peer[reference.peer_id] = [
-                    members[other]
-                    for other in sorted(view.full_candidate_ids(reference.peer_id))
-                ]
-
-        def member_info(peer_id: int) -> PeerInfo:
-            return members[int(peer_id)]
-
-        def selected_infos(peer_id: int) -> List[PeerInfo]:
-            return [members[other] for other in sorted(neighbour_sets[int(peer_id)])]
-
-        cohorts = [
-            AdditiveCohort(
-                member_ids=np.sort(ids[window.members]),
-                gained=tuple(members[gain] for gain in sorted(window.gained)),
-                member_of=member_info,
-                selected_of=selected_infos,
-            )
-            for window in plan.windows
-        ]
-        results = selection.install_many(
-            full_references, candidates_by_peer, cohorts, index=index
-        )
-        return overlay.install_selections(results)

@@ -4,25 +4,27 @@
 which peers exist, which neighbours each peer has selected -- and exposes the
 two ways of reaching the equilibrium topology:
 
-* :meth:`OverlayNetwork.converge` runs synchronous *reselection rounds*.
-  Two equivalent convergence paths implement them:
+* :meth:`OverlayNetwork.converge` settles the topology after membership
+  changes.  Two equivalent convergence paths implement it:
 
   - the **full sweep** (``incremental=False``, the reference path): in every
-    round each peer recomputes its candidate set ``I(P)`` (either every
-    other peer, or the peers within ``gossip_radius`` = ``BR`` overlay hops
-    of it) and applies the neighbour selection method.  This mirrors the
-    paper's procedure of letting the overlay converge after every membership
-    change, at ``O(N)`` selections per round.
-  - the **incremental engine** (``incremental=True``, backed by
-    :class:`repro.overlay.incremental.IncrementalReselectionEngine`): only
-    *dirty* peers -- those whose candidate set may have changed since their
-    last selection -- are re-selected each round, with dirtiness seeded by
-    membership events and propagated through candidate-set deltas.  Partial
-    rounds install exactly what a full sweep would (clean peers provably
-    reproduce their selection), so both paths follow the same trajectory and
-    reach the identical fixed point; property tests cross-check this.  The
-    engine is what makes the paper's insert-one-converge procedure tractable
-    at churn scale (``N = 1000`` and beyond).
+    synchronous round each peer recomputes its candidate set ``I(P)``
+    (either every other peer, or the peers within ``gossip_radius`` =
+    ``BR`` overlay hops of it) and applies the neighbour selection method.
+    This mirrors the paper's procedure of letting the overlay converge after
+    every membership change, at ``O(N)`` selections per round.
+  - the **incremental path** (``incremental=True``): under full knowledge
+    every selection is a pure function of the alive population, so the
+    overlay keeps an *epoch delta* (who needs a full recomputation, who was
+    gained as a candidate) and resolves it with one cohort install -- the
+    fixed point, in a single step.  Under a gossip radius candidate sets
+    depend on the topology, so convergence takes real rounds, driven by
+    :class:`repro.overlay.incremental.IncrementalReselectionEngine`: only
+    *dirty* peers are re-selected each round.  Either way the incremental
+    path reaches the identical fixed point the full sweep does; property
+    tests cross-check this.  It is what makes the paper's
+    insert-one-converge procedure tractable at churn scale (``N = 1000``
+    and beyond).
 
 * :meth:`OverlayNetwork.build_equilibrium` jumps straight to the
   full-knowledge fixed point using the selection method's (possibly
@@ -52,12 +54,14 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
+from repro.contracts import hot_path
 from repro.geometry.index import SpatialIndex
-from repro.overlay.columnar import ColumnarDeltaRecorder, DenseIdMap
 from repro.overlay.gossip import knowledge_sets
 from repro.overlay.incremental import IncrementalReselectionEngine, OverlayDeltaRecorder
 from repro.overlay.peer import PeerInfo
-from repro.overlay.selection.base import NeighbourSelectionMethod
+from repro.overlay.selection.base import AdditiveCohort, NeighbourSelectionMethod
 from repro.overlay.topology import TopologySnapshot, undirected_closure
 
 __all__ = [
@@ -154,27 +158,6 @@ class OverlayNetwork:
         the shared index cannot answer, so convergence always falls back to
         scans (the index, if forced on, is still maintained).  Pass
         ``False`` to pin the scan path (the benchmark baselines do).
-    columnar:
-        Whether the overlay owns a :class:`~repro.overlay.columnar.DenseIdMap`
-        and hands the incremental engine / delta recorders the columnar
-        (implicit candidate set) representation.  ``None`` (the default)
-        enables it exactly under full knowledge -- the representation's
-        validity condition, since only there is ``I(P)`` "everyone alive
-        but me".  Pass ``False`` to pin the explicit dict/frozenset
-        bookkeeping (the benchmark baselines and the cross-checking
-        property suites do); passing ``True`` with a ``gossip_radius`` is
-        a :class:`ValueError`.
-    vectorised_rounds:
-        Whether the incremental engine may drive convergence rounds through
-        the vectorised round protocol
-        (:meth:`~repro.overlay.incremental.CandidateView.plan_round` +
-        the selection family's cohort install entry).  ``None``/``True``
-        (the default) offers it -- only views that support it (the columnar
-        representation) actually take it, so the flag is inert on explicit
-        or gossip-limited overlays.  Pass ``False`` to pin the per-peer
-        classify/install loop: the baseline arm of the vectorised-round
-        benchmarks and equivalence suites, which install byte-identical
-        topologies either way.
     """
 
     def __init__(
@@ -183,18 +166,9 @@ class OverlayNetwork:
         *,
         gossip_radius: Optional[int] = None,
         use_index: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        vectorised_rounds: Optional[bool] = None,
     ) -> None:
         if gossip_radius is not None and gossip_radius < 1:
             raise ValueError("gossip_radius must be at least 1 when given")
-        if columnar is None:
-            columnar = gossip_radius is None
-        elif columnar and gossip_radius is not None:
-            raise ValueError(
-                "columnar candidate state is implicit full-knowledge state; "
-                "it cannot represent gossip-limited candidate subsets"
-            )
         self._selection = selection
         self._gossip_radius = gossip_radius
         if use_index is None:
@@ -203,13 +177,6 @@ class OverlayNetwork:
         # apply_batch / the bulk builders); convergence failures never touch
         # coordinates, so the index stays exact through them.
         self._index: Optional[SpatialIndex] = SpatialIndex() if use_index else None
-        # The dense id->row map the columnar engine state and delta
-        # recorders share; rows are never recycled, so a departed-then-
-        # rejoined id keeps its row and every consumer's columns stay
-        # aligned for the overlay's lifetime.
-        self._id_rows: Optional[DenseIdMap] = DenseIdMap() if columnar else None
-        # Threaded into every lazily created engine; see the class docstring.
-        self._vectorised_rounds = vectorised_rounds
         self._peers: Dict[int, PeerInfo] = {}
         self._neighbours: Dict[int, Set[int]] = {}
         # Reverse selector index: _selectors_of[target] is the set of peers
@@ -219,9 +186,19 @@ class OverlayNetwork:
         # departed peer's selectors in O(selectors) instead of scanning
         # every neighbour set.
         self._selectors_of: Dict[int, Set[int]] = {}
-        # Created lazily by the first converge(incremental=True); kept in
-        # sync by the membership methods and dropped whenever a full sweep
-        # rewrites the topology behind its back.
+        # Full knowledge: the epoch delta since the last fixed point, which
+        # converge(incremental=True) resolves in one install.  _needs_full
+        # holds the peers whose installed selection cannot be updated by
+        # gains alone (joiners, movers, and the selectors of departed and
+        # moved peers); _gained the ids every other peer gained as a
+        # candidate (joiners and movers).  Both may hold departed ids, which
+        # the install filters out.
+        self._needs_full: Set[int] = set()
+        self._gained: Set[int] = set()
+        # Gossip radius: the round engine, created lazily by the first
+        # converge(incremental=True); kept in sync by the membership methods
+        # and dropped whenever a full sweep or an aborted convergence
+        # leaves its bookkeeping behind.
         self._engine: Optional[IncrementalReselectionEngine] = None
         # Delta-stream subscribers (see repro.overlay.incremental): every
         # membership event and installed selection change is mirrored into
@@ -245,11 +222,6 @@ class OverlayNetwork:
     def index(self) -> Optional[SpatialIndex]:
         """The owned spatial index over alive peers (``None`` when disabled)."""
         return self._index
-
-    @property
-    def id_rows(self) -> Optional[DenseIdMap]:
-        """The shared dense id map (``None`` when the columnar path is off)."""
-        return self._id_rows
 
     def _selection_index(self) -> Optional[SpatialIndex]:
         """The index, when this overlay's selections may be answered from it.
@@ -310,8 +282,6 @@ class OverlayNetwork:
                 raise KeyError(f"bootstrap peers {sorted(unknown)} are not in the overlay")
         self._peers[peer.peer_id] = peer
         self._neighbours[peer.peer_id] = set(bootstrap_ids)
-        if self._id_rows is not None:
-            self._id_rows.mark_alive(peer.peer_id)
         if self._index is not None:
             if len(self._peers) == 1 and self._index.dimension not in (
                 None,
@@ -322,7 +292,9 @@ class OverlayNetwork:
                 # the index over rather than rejecting the first joiner.
                 self._index = SpatialIndex()
             self._index.insert(peer.peer_id, peer.coordinates)
-        if self._engine is not None:
+        if self._gossip_radius is None:
+            self._note_join(peer.peer_id)
+        elif self._engine is not None:
             self._engine.note_join(peer.peer_id)
         if self._delta_recorders:
             for recorder in self._delta_recorders:
@@ -334,7 +306,7 @@ class OverlayNetwork:
         # multi-peer-bootstrap joins on the delta-stream contract.  Called
         # unconditionally (not just when recorders are attached) because the
         # notifier also maintains the reverse selector index.
-        self._notify_selection_change(peer.peer_id, set(), bootstrap_ids)
+        self.notify_selection_change(peer.peer_id, set(), bootstrap_ids)
 
     def remove_peer(self, peer_id: int) -> PeerInfo:
         """Remove a peer and every link that references it."""
@@ -343,8 +315,6 @@ class OverlayNetwork:
         except KeyError:
             raise KeyError(f"unknown peer {peer_id}") from None
         selected = self._neighbours.pop(peer_id, set())
-        if self._id_rows is not None:
-            self._id_rows.mark_dead(peer_id)
         if self._index is not None:
             self._index.remove(peer_id)
         # The reverse selector index answers "who selected the departed
@@ -361,7 +331,9 @@ class OverlayNetwork:
                 owners.discard(peer_id)
                 if not owners:
                     del self._selectors_of[target]
-        if self._engine is not None:
+        if self._gossip_radius is None:
+            self._note_leave(peer_id, selectors)
+        elif self._engine is not None:
             self._engine.note_leave(peer_id, selectors)
         if self._delta_recorders:
             for recorder in self._delta_recorders:
@@ -379,8 +351,9 @@ class OverlayNetwork:
         characteristic point can drift without the peer leaving the overlay.
         A move keeps the id (and therefore every installed link referencing
         it) while invalidating every selection that evaluated the old
-        coordinates: the spatial index is re-keyed, the incremental engine
-        is told the mover and everyone tracking it need reclassification,
+        coordinates: the spatial index is re-keyed, the mover and its
+        selectors are marked for a full recomputation at the next
+        convergence (everyone else gains the mover at its new position),
         and the delta recorders see the mover plus both its selectors and
         its selected targets as touched (their undirected adjacency may
         change at the next convergence).  The caller converges afterwards,
@@ -395,7 +368,9 @@ class OverlayNetwork:
         self._peers[peer_id] = moved
         if self._index is not None:
             self._index.move(peer_id, moved.coordinates)
-        if self._engine is not None:
+        if self._gossip_radius is None:
+            self._note_move(peer_id)
+        elif self._engine is not None:
             self._engine.note_move(peer_id)
         if self._delta_recorders:
             touched = {peer_id}
@@ -404,6 +379,40 @@ class OverlayNetwork:
             for recorder in self._delta_recorders:
                 recorder.note_touch(touched)
         return moved
+
+    @hot_path
+    def _note_join(self, peer_id: int) -> None:
+        """Epoch delta of a join, O(1): the joiner selects from scratch and
+        every other peer gains it as a candidate."""
+        self._needs_full.add(peer_id)
+        self._gained.add(peer_id)
+
+    @hot_path
+    def _note_leave(self, peer_id: int, selectors: Iterable[int]) -> None:
+        """Epoch delta of a departure, O(selectors).
+
+        The selectors just had the departed id stripped from their installed
+        selections, so they select from scratch.  Every other peer lost a
+        candidate it had not selected, which leaves a path-independent
+        selection unchanged.  The departed id itself is recorded as well:
+        the install filters it out, but it marks the epoch as changed for
+        methods without path independence.
+        """
+        self._needs_full.add(peer_id)
+        self._needs_full.update(selectors)
+
+    @hot_path
+    def _note_move(self, peer_id: int) -> None:
+        """Epoch delta of a move, O(selectors).
+
+        The mover selects from scratch around its new reference point, and
+        so does every peer that had selected it (a selected candidate
+        vanished from its old position).  Every other peer had not selected
+        the old position and gains the new one as a candidate.
+        """
+        self._needs_full.add(peer_id)
+        self._needs_full.update(self._selectors_of.get(peer_id, ()))
+        self._gained.add(peer_id)
 
     # ------------------------------------------------------------------
     # Neighbour state
@@ -438,16 +447,8 @@ class OverlayNetwork:
         bootstrap from :meth:`snapshot` first (events before the attachment
         are not replayed); re-processing peers touched both before and after
         the snapshot is harmless by the contract.
-
-        Columnar overlays get a :class:`~repro.overlay.columnar.ColumnarDeltaRecorder`
-        sharing the overlay's dense id map, so recorder touches are flag-array
-        writes; the drained deltas are identical either way.
         """
-        recorder: OverlayDeltaRecorder = (
-            ColumnarDeltaRecorder(self._id_rows)
-            if self._id_rows is not None
-            else OverlayDeltaRecorder()
-        )
+        recorder = OverlayDeltaRecorder()
         self._delta_recorders.append(recorder)
         return recorder
 
@@ -461,9 +462,8 @@ class OverlayNetwork:
         kept its adjacency.
 
         This is the public half of the delta-stream contract: *every* code
-        path that mutates ``_neighbours`` -- the membership methods, both
-        convergence paths, and the incremental engine (a friend class that
-        installs selections directly) -- must route the change through here,
+        path that mutates ``_neighbours`` -- the membership methods and both
+        convergence paths -- must route the change through here,
         or downstream consumers silently diverge.  Mechanically enforced by
         reprolint rule RPL001 (``python -m repro.analysis``).
 
@@ -488,22 +488,18 @@ class OverlayNetwork:
         for recorder in self._delta_recorders:
             recorder.note_touch(touched)
 
-    #: Thin alias: the notifier predates the public API and internal call
-    #: sites (plus external consumers of the private name) keep working.
-    _notify_selection_change = notify_selection_change
-
     def install_selections(self, results: Mapping[int, Iterable[int]]) -> bool:
         """Install a batch of computed selections; ``True`` if any changed.
 
-        The single install fan-out both incremental round protocols end in:
-        each entry replaces one peer's directed selection, and every actual
-        change routes through :meth:`notify_selection_change` -- so the
+        The single install fan-out both incremental paths end in: each entry
+        replaces one peer's directed selection, and every actual change
+        routes through :meth:`notify_selection_change` -- so the
         delta-stream contract (RPL001) and the reverse selector index hold
-        per peer no matter how the batch was computed (per-peer loop,
-        vectorised cohort install, or a mix).  Entries equal to the
-        installed selection are skipped without notifying, matching the
-        per-peer install loops this replaces; peers absent from ``results``
-        are untouched.  Iteration is in ascending peer id for determinism.
+        per peer no matter how the batch was computed (one-shot cohort
+        install or a gossip round).  Entries equal to the installed
+        selection are skipped without notifying; peers absent from
+        ``results`` are untouched.  Iteration is in ascending peer id for
+        determinism.
         """
         changed = False
         for peer_id in sorted(results):
@@ -555,9 +551,11 @@ class OverlayNetwork:
         and are the discrete-time counterpart of "periodically, every peer
         broadcasts its existence ... then selects its new overlay neighbours".
 
-        This is the reference path the incremental engine is cross-checked
-        against; running it rewrites every neighbour set, so any live engine
-        state is discarded.  With an owned index under full knowledge, every
+        This is the reference path the incremental one is cross-checked
+        against.  Under full knowledge one sweep installs the fixed point,
+        so the epoch delta is cleared; under a gossip radius it rewrites
+        every neighbour set behind the round engine, so any live engine is
+        discarded.  With an owned index under full knowledge, every
         selection is answered from the index instead of a materialised
         candidate list -- the indexed and scan sweeps install byte-identical
         neighbour sets (property-tested), so the cross-check contract holds
@@ -577,12 +575,12 @@ class OverlayNetwork:
                 selected = set(results[peer_id])
                 new_neighbours[peer_id] = selected
                 if selected != self._neighbours[peer_id]:
-                    self._notify_selection_change(
+                    self.notify_selection_change(
                         peer_id, self._neighbours[peer_id], selected
                     )
                     changed = True
             self._neighbours = new_neighbours
-            self.invalidate_engine()
+            self._clear_epoch()
             return changed
         if self._gossip_radius is None:
             candidates_by_peer = {
@@ -605,36 +603,47 @@ class OverlayNetwork:
             selected = set(self._selection.select(self._peers[peer_id], candidates))
             new_neighbours[peer_id] = selected
             if selected != self._neighbours[peer_id]:
-                self._notify_selection_change(
+                self.notify_selection_change(
                     peer_id, self._neighbours[peer_id], selected
                 )
                 changed = True
         self._neighbours = new_neighbours
-        self.invalidate_engine()
+        self._clear_epoch()
         return changed
+
+    def _clear_epoch(self) -> None:
+        """Forget all convergence bookkeeping after a full sweep."""
+        self._needs_full.clear()
+        self._gained.clear()
+        self.invalidate_engine()
 
     def invalidate_engine(self) -> None:
         """Discard any live incremental-reselection engine state.
 
-        The engine's dirty set and ``last_candidates`` describe one
-        convergence trajectory; whenever that trajectory is abandoned --
-        a full sweep rewrote every neighbour set, or a convergence aborted
-        with :class:`ConvergenceError` -- the engine must be dropped so the
-        next incremental convergence rebootstraps from an all-dirty state.
+        The round engine of a gossip-limited overlay keeps a dirty set and
+        ``last_candidates`` that describe one convergence trajectory;
+        whenever that trajectory is abandoned -- a full sweep rewrote every
+        neighbour set, or a convergence aborted with
+        :class:`ConvergenceError` -- the engine must be dropped so the next
+        incremental convergence rebootstraps from an all-dirty state.
         Callers that catch :class:`ConvergenceError` and resume are
         required (reprolint RPL007) to call this before their next
-        converge.
+        converge.  Full-knowledge overlays have no engine; this is a no-op
+        there.
         """
         self._engine = None
 
     def converge(self, *, max_rounds: int = 50, incremental: bool = False) -> int:
-        """Run reselection rounds until a fixed point; returns the round count.
+        """Settle the topology at its fixed point; returns the round count.
 
-        With ``incremental=True`` the rounds are driven by the dirty-set
-        engine (only peers whose candidate sets may have changed are
-        re-selected); otherwise every round is a full sweep.  Both paths
-        reach the identical fixed point -- the incremental one merely skips
-        provably unchanged work, so it may report fewer rounds.
+        With ``incremental=False`` every round is a full sweep.  With
+        ``incremental=True`` under full knowledge, the epoch delta is
+        resolved by :meth:`_install_epoch` -- one cohort install that lands
+        on the fixed point -- and the count is ``1``.  Under a gossip radius
+        the rounds are driven by the dirty-set engine (only peers whose
+        candidate sets may have changed are re-selected).  All paths reach
+        the identical fixed point; the incremental ones merely skip provably
+        unchanged work, so they may report fewer rounds.
 
         Raises :class:`ConvergenceError` if the topology is still changing
         after ``max_rounds`` rounds.  On that exception path the incremental
@@ -646,11 +655,12 @@ class OverlayNetwork:
         """
         if max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        if incremental and self._gossip_radius is None:
+            self._install_epoch()
+            return 1
         if incremental:
             if self._engine is None:
-                self._engine = IncrementalReselectionEngine(
-                    self, vectorised=self._vectorised_rounds
-                )
+                self._engine = IncrementalReselectionEngine(self)
             engine = self._engine
             for round_index in range(1, max_rounds + 1):
                 if not engine.run_round():
@@ -661,6 +671,68 @@ class OverlayNetwork:
             if not self.reselect_round():
                 return round_index
         raise ConvergenceError(max_rounds)
+
+    def _install_epoch(self) -> None:
+        """Install the full-knowledge fixed point in one cohort install.
+
+        Every alive peer outside the needs-full set still holds the
+        selection it had at the previous fixed point.  Since then its
+        candidate set lost only ids it had not selected (departed peers and
+        the old positions of movers; a selected one would have put it in the
+        needs-full set) and gained the alive ids of ``_gained``.  For a
+        path-independent method that makes its new selection
+        ``select(P, selection + gained)``, so the whole population except
+        the needs-full peers forms one :class:`AdditiveCohort`; with nothing
+        gained it keeps its selection outright.  The alive needs-full peers
+        recompute against everyone alive, answered from the index when the
+        overlay owns one.  A method without path independence recomputes
+        every alive peer whenever anything changed.  One
+        ``selection.install_many`` call resolves all of it, and the results
+        install through :meth:`install_selections`.
+        """
+        members = self._peers
+        if self._selection.path_independent:
+            full_ids = sorted(peer_id for peer_id in self._needs_full if peer_id in members)
+            gained_ids = sorted(peer_id for peer_id in self._gained if peer_id in members)
+        else:
+            full_ids = sorted(members) if self._needs_full or self._gained else []
+            gained_ids = []
+        full_references = [members[peer_id] for peer_id in full_ids]
+        index = self._selection_index()
+        candidates_by_peer: Dict[int, List[PeerInfo]] = {}
+        if index is None and full_references:
+            population = [members[peer_id] for peer_id in sorted(members)]
+            for reference in full_references:
+                candidates_by_peer[reference.peer_id] = [
+                    info for info in population if info.peer_id != reference.peer_id
+                ]
+        cohorts: List[AdditiveCohort] = []
+        if gained_ids:
+            alive = np.fromiter(members, dtype=np.int64, count=len(members))
+            member_ids = np.setdiff1d(alive, np.asarray(full_ids, dtype=np.int64))
+            if member_ids.size:
+                neighbour_sets = self._neighbours
+
+                def member_of(peer_id: int) -> PeerInfo:
+                    return members[int(peer_id)]
+
+                def selected_of(peer_id: int) -> List[PeerInfo]:
+                    return [members[other] for other in sorted(neighbour_sets[int(peer_id)])]
+
+                cohorts.append(
+                    AdditiveCohort(
+                        member_ids=member_ids,
+                        gained=tuple(members[peer_id] for peer_id in gained_ids),
+                        member_of=member_of,
+                        selected_of=selected_of,
+                    )
+                )
+        results = self._selection.install_many(
+            full_references, candidates_by_peer, cohorts, index=index
+        )
+        self.install_selections(results)
+        self._needs_full.clear()
+        self._gained.clear()
 
     def insert_and_converge(
         self,
@@ -694,9 +766,10 @@ class OverlayNetwork:
 
         This is the batched-epoch counterpart of the per-event
         :meth:`insert_and_converge` / :meth:`remove_and_converge` loop: every
-        event seeds the incremental engine (``note_join`` / ``note_leave``)
-        and the delta recorders up front, and the overlay pays a single
-        convergence for the whole batch instead of one per event.  Under full
+        event lands in the convergence bookkeeping (the epoch delta, or the
+        round engine under a gossip radius) and the delta recorders up
+        front, and the overlay pays a single convergence for the whole batch
+        instead of one per event.  Under full
         knowledge the post-convergence fixed point is a function of the
         surviving population alone, so the batched path lands on the exact
         topology the one-event-at-a-time procedure reaches (the hypothesis
@@ -762,7 +835,6 @@ class OverlayNetwork:
         selection: NeighbourSelectionMethod,
         *,
         use_index: Optional[bool] = None,
-        columnar: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Full-knowledge equilibrium overlay for a fixed population.
 
@@ -775,9 +847,7 @@ class OverlayNetwork:
         :class:`ValueError` up front instead of crashing deep inside the
         vectorised equilibrium code.
         """
-        overlay = cls(
-            selection, gossip_radius=None, use_index=use_index, columnar=columnar
-        )
+        overlay = cls(selection, gossip_radius=None, use_index=use_index)
         dimension: Optional[int] = None
         for peer in peers:
             if peer.peer_id in overlay._peers:
@@ -787,8 +857,6 @@ class OverlayNetwork:
             else:
                 _validate_dimension(peer, dimension)
             overlay._peers[peer.peer_id] = peer
-            if overlay._id_rows is not None:
-                overlay._id_rows.mark_alive(peer.peer_id)
             if overlay._index is not None:
                 overlay._index.insert(peer.peer_id, peer.coordinates)
         equilibrium = selection.compute_equilibrium(peers)
@@ -809,8 +877,6 @@ class OverlayNetwork:
         rng: Optional[random.Random] = None,
         incremental: bool = True,
         use_index: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        vectorised_rounds: Optional[bool] = None,
     ) -> "OverlayNetwork":
         """Insert peers one at a time, converging after every insertion.
 
@@ -826,13 +892,7 @@ class OverlayNetwork:
         ``incremental=False`` to cross-check against full sweeps.
         """
         generator = rng if rng is not None else random.Random(0)
-        overlay = cls(
-            selection,
-            gossip_radius=gossip_radius,
-            use_index=use_index,
-            columnar=columnar,
-            vectorised_rounds=vectorised_rounds,
-        )
+        overlay = cls(selection, gossip_radius=gossip_radius, use_index=use_index)
         for peer in peers:
             if overlay.peer_count == 0:
                 overlay.add_peer(peer, bootstrap=())

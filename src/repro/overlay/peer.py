@@ -27,8 +27,7 @@ class NetworkAddress:
     """A simulated public endpoint (host and port).
 
     The construction algorithms only ever treat addresses as opaque delivery
-    handles, so a simulated address preserves the paper's behaviour exactly;
-    see DESIGN.md, "Substitutions".
+    handles, so a simulated address preserves the paper's behaviour exactly.
     """
 
     host: str

@@ -1,17 +1,16 @@
-"""Known-bad: a columnar-style view silently rematerialises the population.
+"""Known-bad: an epoch-delta note silently rematerialises the population.
 
-The implicit candidate representation's whole point is that hot-path
-membership notes are O(1) array writes; the regression shape is a
-"columnar" method quietly falling back to an explicit O(N) id set -- a
-comprehension over the peer map, or a set() built from its keys -- which
-reintroduces the per-event population cost the representation exists to
-kill.
+The full-knowledge epoch delta's whole point is that hot-path membership
+notes are O(1) or O(selectors) set writes; the regression shape is a note
+quietly falling back to an explicit O(N) id set -- a comprehension over the
+peer map, or a set() built from its keys -- which reintroduces the
+per-event population cost the delta exists to kill.
 """
 
 from repro.contracts import hot_path
 
 
-class ColumnarCandidateState:
+class EpochDelta:
     def __init__(self, overlay):
         self._overlay = overlay
         self._epoch = 0

@@ -51,11 +51,6 @@ def incremental_source() -> str:
 
 
 @pytest.fixture()
-def columnar_source() -> str:
-    return (SRC / "overlay" / "columnar.py").read_text(encoding="utf-8")
-
-
-@pytest.fixture()
 def hyperplanes_source() -> str:
     return (SRC / "overlay" / "selection" / "hyperplanes.py").read_text(
         encoding="utf-8"
@@ -68,7 +63,6 @@ def test_pristine_copies_are_clean(tmp_path, network_source):
         ("geometry/index.py", SRC / "geometry" / "index.py"),
         ("workloads/churn.py", SRC / "workloads" / "churn.py"),
         ("overlay/incremental.py", SRC / "overlay" / "incremental.py"),
-        ("overlay/columnar.py", SRC / "overlay" / "columnar.py"),
         (
             "overlay/selection/hyperplanes.py",
             SRC / "overlay" / "selection" / "hyperplanes.py",
@@ -84,7 +78,7 @@ def test_rpl001_catches_a_dropped_add_peer_notification(tmp_path, network_source
     """Re-introduces the exact drift PR 4 fixed: a silent bootstrap install."""
     seeded = _seed(
         network_source,
-        "self._notify_selection_change(peer.peer_id, set(), bootstrap_ids)",
+        "self.notify_selection_change(peer.peer_id, set(), bootstrap_ids)",
         "pass  # seeded violation: bootstrap edges installed silently",
     )
     copy = _mirror(tmp_path, "overlay/network.py", seeded)
@@ -218,36 +212,36 @@ def test_rpl005_catches_population_work_in_the_mirror_hot_path(
 
 
 def test_rpl005_catches_an_implicit_set_silently_materialised(
-    tmp_path, incremental_source
+    tmp_path, network_source
 ):
-    """The columnar tentpole's regression shape: the engine's @hot_path
-    ``note_join`` quietly rebuilding an explicit population-sized structure
-    instead of delegating the O(1) implicit-representation write."""
+    """The epoch delta's regression shape: the @hot_path join note marking
+    the whole population for a full recompute instead of the one joiner --
+    an O(N) id set on every join, where the one-shot install only needs the
+    joiner plus a shared gain."""
     seeded = _seed(
-        incremental_source,
-        "self._view.note_join(peer_id)",
-        "self._dirty_all = sorted(self._overlay._peers)",
+        network_source,
+        "        self._needs_full.add(peer_id)\n        self._gained.add(peer_id)\n",
+        "        self._needs_full.update(set(self._peers))\n"
+        "        self._gained.add(peer_id)\n",
     )
-    copy = _mirror(tmp_path, "overlay/incremental.py", seeded)
+    copy = _mirror(tmp_path, "overlay/network.py", seeded)
     violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "sorted(self._overlay._peers)")
+    expected_line = _line_of(seeded, "self._needs_full.update(set(self._peers))")
     assert [(v.rule_id, v.line) for v in violations] == [("RPL005", expected_line)]
 
 
-def test_rpl005_catches_population_scheduling_in_plan_round(
-    tmp_path, columnar_source
-):
-    """The vectorised round core's regression shape: ``plan_round`` swapping
-    its mask-algebra dirty scan for a materialised population sort would put
-    an O(N) Python pass back on every convergence round."""
+def test_rpl005_catches_a_selector_scan_in_the_move_note(tmp_path, network_source):
+    """The move note's regression shape: finding the mover's selectors by
+    scanning every installed selection instead of the reverse selector
+    index would put an O(N) pass back on every move."""
     seeded = _seed(
-        columnar_source,
-        "scheduled_rows = self._dirty_row_array()",
-        "scheduled_rows = np.asarray(sorted(self._rows.peer_ids))",
+        network_source,
+        "self._needs_full.update(self._selectors_of.get(peer_id, ()))",
+        "self._needs_full.update(p for p, sel in self._neighbours.items() if peer_id in sel)",
     )
-    copy = _mirror(tmp_path, "overlay/columnar.py", seeded)
+    copy = _mirror(tmp_path, "overlay/network.py", seeded)
     violations = lint_paths([copy])
-    expected_line = _line_of(seeded, "sorted(self._rows.peer_ids)")
+    expected_line = _line_of(seeded, "for p, sel in self._neighbours.items()")
     assert [(v.rule_id, v.line) for v in violations] == [("RPL005", expected_line)]
 
 

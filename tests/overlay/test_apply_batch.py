@@ -250,33 +250,75 @@ _SELECTIONS = st.sampled_from(
 )
 
 
-def _random_batched_script(peers, rng):
-    """A random trace: join/leave events partitioned into random epochs.
+def _shifted(peer, *, keep_lifetime=False):
+    """The peer half a grid step off every axis (but axis 0 if asked).
 
-    Bootstrap contacts are pre-chosen against the evolving alive set, so the
-    batched and the per-event replay perform byte-identical membership
-    operations and only the convergence cadence differs.  Leaves and rejoins
-    may share an epoch with their counterpart event.
+    Population coordinates are multiples of 1/8, so shifted ones (odd
+    multiples of 1/16) never tie with an unshifted value on any axis, and two
+    shifted peers differ wherever their originals do.  A move keeps axis 0:
+    it is the peer's lifetime, which the maintained stability tree fixes
+    at join time.
+    """
+    first = 1 if keep_lifetime else 0
+    return replace(
+        peer,
+        coordinates=tuple(
+            value + 1 / 16 if axis >= first else value
+            for axis, value in enumerate(peer.coordinates)
+        ),
+    )
+
+
+def _moved(peer):
+    """Coordinates of a lifetime-keeping move of ``peer``."""
+    return _shifted(peer, keep_lifetime=True).coordinates
+
+
+def _random_batched_script(peers, rng):
+    """A random trace: join/leave/move events partitioned into random epochs.
+
+    Bootstrap contacts are pre-chosen against the evolving alive set, so
+    every replay performs byte-identical membership operations and only the
+    convergence path differs.  Moves toggle a peer's axes past the first
+    between their original and shifted values; a departed peer rejoins at
+    its original or its fully shifted position.
+    Leaves, rejoins and moves may share an epoch with their counterparts.
     """
     batches = []
     alive = []
     pending = list(peers)
     departed = []
+    by_id = {peer.peer_id: peer for peer in peers}
+    position = {}
     while pending or (alive and rng.random() < 0.4):
         batch = []
         for _ in range(rng.randint(1, 4)):
             roll = rng.random()
-            if alive and (roll < 0.25 or not (pending or departed)):
+            if alive and roll < 0.15:
+                mover = rng.choice(alive)
+                original = by_id[mover].coordinates
+                current = position[mover]
+                moved = (current[0],) + tuple(
+                    original[axis] if current[axis] != original[axis]
+                    else original[axis] + 1 / 16
+                    for axis in range(1, len(current))
+                )
+                position[mover] = moved
+                batch.append(BatchMove(mover, moved))
+            elif alive and (roll < 0.35 or not (pending or departed)):
                 victim = rng.choice(alive)
                 alive.remove(victim)
                 batch.append(BatchLeave(victim))
                 departed.append(victim)
             elif pending or departed:
-                if departed and (not pending or roll < 0.4):
+                if departed and (not pending or roll < 0.5):
                     peer_id = departed.pop(rng.randrange(len(departed)))
-                    peer = next(p for p in peers if p.peer_id == peer_id)
+                    peer = by_id[peer_id]
+                    if rng.random() < 0.5:
+                        peer = _shifted(peer)
                 else:
                     peer = pending.pop()
+                position[peer.peer_id] = peer.coordinates
                 bootstrap = frozenset({rng.choice(alive)}) if alive else frozenset()
                 batch.append(BatchJoin(peer, bootstrap=bootstrap))
                 alive.append(peer.peer_id)
@@ -292,27 +334,23 @@ def _random_batched_script(peers, rng):
     peers=_populations(),
     selection_factory=_SELECTIONS,
     script_seed=st.integers(min_value=0, max_value=999),
-    columnar=st.booleans(),
 )
 def test_batched_epochs_match_per_event_convergence(
-    peers, selection_factory, script_seed, columnar
+    peers, selection_factory, script_seed
 ):
-    """Per-epoch apply_batch == per-event converge, overlay and tree alike.
+    """Per-epoch apply_batch == per-event full sweeps, overlay and tree alike.
 
     After every epoch the batched overlay must equal the per-event one
     (under full knowledge the fixed point is a function of the surviving
     population), and the two maintained stability trees -- refreshed once
     per epoch vs once per event -- must be byte-identical, including the
     streaming metric bundles whenever the forest is a single tree.  The
-    batched arm draws the engine's candidate representation (implicit
-    columnar vs explicit dicts) so the tree-maintenance byte-identity hunt
-    crosses the representation boundary; the per-event arm stays on the
-    default.
+    per-event arm converges by full sweeps, the reference path.
     """
     rng = random.Random(script_seed)
     batches = _random_batched_script(peers, rng)
 
-    fast = OverlayNetwork(selection_factory(), columnar=columnar)
+    fast = OverlayNetwork(selection_factory())
     slow = OverlayNetwork(selection_factory())
     fast_maintainer = StabilityTreeMaintainer(fast)
     slow_maintainer = StabilityTreeMaintainer(slow)
@@ -321,7 +359,7 @@ def test_batched_epochs_match_per_event_convergence(
         fast.apply_batch(batch)
         fast_maintainer.refresh()
         for event in batch:
-            slow.apply_batch((event,), incremental=True)
+            slow.apply_batch((event,), incremental=False)
             slow_maintainer.refresh()
 
         assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
@@ -345,33 +383,128 @@ def test_batched_epochs_match_per_event_convergence(
             )
 
 
+def _check_incremental_against_full_sweep(
+    peers, selection_factory, gossip_radius, batches
+):
+    """Replay ``batches`` on both convergence paths, checking every epoch.
+
+    The incremental overlay must equal the full-sweep one after every
+    epoch, drain the identical delta, and keep a maintained stability tree
+    equal to the from-scratch snapshot build; under full knowledge it must
+    also equal the equilibrium builder's overlay of the alive population.
+    """
+    fast = OverlayNetwork(selection_factory(), gossip_radius=gossip_radius)
+    slow = OverlayNetwork(selection_factory(), gossip_radius=gossip_radius)
+    fast_stream, slow_stream = fast.delta_stream(), slow.delta_stream()
+    maintainer = StabilityTreeMaintainer(fast)
+    for batch in batches:
+        fast.apply_batch(batch, incremental=True)
+        slow.apply_batch(batch, incremental=False)
+        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+        assert fast_stream.drain() == slow_stream.drain()
+        maintainer.refresh()
+        expected = StabilityTreeBuilder().build(fast.snapshot())
+        assert maintainer.forest().preferred == dict(expected.preferred)
+        if gossip_radius is None and fast.peer_count:
+            equilibrium = OverlayNetwork.build_equilibrium(
+                fast.peers(), selection_factory()
+            )
+            assert fast.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     peers=_populations(),
     selection_factory=_SELECTIONS,
     gossip_radius=st.sampled_from([None, 2, 3]),
     script_seed=st.integers(min_value=0, max_value=999),
-    columnar=st.booleans(),
 )
 def test_batched_incremental_matches_batched_full_sweep(
-    peers, selection_factory, gossip_radius, script_seed, columnar
+    peers, selection_factory, gossip_radius, script_seed
 ):
     """apply_batch(incremental=True) == apply_batch(incremental=False).
 
-    The engine's partial rounds install exactly what a full sweep would, so
-    the two convergence paths follow the same trajectory from the same
-    post-batch state -- under full knowledge (in both candidate
-    representations) and bounded gossip radii alike.
+    Under full knowledge the one-shot install lands on the fixed point the
+    full sweep reaches; under a bounded gossip radius the engine's partial
+    rounds install exactly what a full sweep would, so both paths follow
+    the same trajectory from the same post-batch state.
     """
     rng = random.Random(script_seed)
     batches = _random_batched_script(peers, rng)
-    fast = OverlayNetwork(
-        selection_factory(),
-        gossip_radius=gossip_radius,
-        columnar=columnar if gossip_radius is None else None,
+    _check_incremental_against_full_sweep(
+        peers, selection_factory, gossip_radius, batches
     )
-    slow = OverlayNetwork(selection_factory(), gossip_radius=gossip_radius)
-    for batch in batches:
-        fast.apply_batch(batch, incremental=True)
-        slow.apply_batch(batch, incremental=False)
-        assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+
+
+def _edge_case_scripts():
+    peers = _peers(8)
+    warm_up = [BatchJoin(peer) for peer in peers[:6]]
+    return {
+        "join-and-leave-in-one-batch": [
+            warm_up,
+            [BatchJoin(peers[6], bootstrap=frozenset({0})), BatchLeave(6)],
+            [BatchLeave(2), BatchJoin(peers[7], bootstrap=frozenset({1})), BatchLeave(7)],
+        ],
+        "leave-and-rejoin-at-new-coordinates": [
+            warm_up,
+            [BatchLeave(3), BatchJoin(_shifted(peers[3]), bootstrap=frozenset({0}))],
+            [BatchLeave(0), BatchJoin(_shifted(peers[0]), bootstrap=frozenset({5}))],
+        ],
+        "move-then-leave": [
+            warm_up,
+            [BatchMove(4, _moved(peers[4])), BatchLeave(4)],
+            [BatchMove(1, _moved(peers[1])), BatchLeave(2), BatchLeave(1)],
+        ],
+    }
+
+
+@pytest.mark.parametrize("gossip_radius", [None, 2], ids=["full", "radius2"])
+@pytest.mark.parametrize(
+    "selection_factory",
+    [EmptyRectangleSelection, lambda: KClosestSelection(k=2)],
+    ids=["empty-rectangle", "k-closest"],
+)
+@pytest.mark.parametrize("script", sorted(_edge_case_scripts()))
+def test_epoch_edge_cases_match_full_sweep(script, selection_factory, gossip_radius):
+    """Event pairs inside one epoch that the one-shot delta must net out."""
+    _check_incremental_against_full_sweep(
+        _peers(8), selection_factory, gossip_radius, _edge_case_scripts()[script]
+    )
+
+
+class _CountingSelection(EmptyRectangleSelection):
+    """Empty-rectangle selection that counts its cohort installs."""
+
+    def __init__(self):
+        super().__init__()
+        self.install_calls = []
+
+    def install_many(self, *args, **kwargs):
+        self.install_calls.append(len(args[0]))
+        return super().install_many(*args, **kwargs)
+
+
+@pytest.mark.parametrize("use_index", [True, False], ids=["indexed", "scan"])
+def test_full_knowledge_converge_is_one_install(use_index):
+    """Every full-knowledge converge is exactly one install_many call."""
+    selection = _CountingSelection()
+    overlay = OverlayNetwork(selection, use_index=use_index)
+    peers = _peers(10)
+    script = [
+        [BatchJoin(peer) for peer in peers[:7]],
+        [BatchJoin(peers[7], bootstrap=frozenset({2}))],
+        [BatchLeave(3), BatchMove(5, _moved(peers[5]))],
+        [BatchLeave(0), BatchJoin(_shifted(peers[3])), BatchJoin(peers[8])],
+    ]
+    for batch in script:
+        before = len(selection.install_calls)
+        assert overlay.apply_batch(batch) == 1
+        assert len(selection.install_calls) == before + 1
+        equilibrium = OverlayNetwork.build_equilibrium(
+            overlay.peers(), EmptyRectangleSelection()
+        )
+        assert overlay.directed_neighbour_map() == equilibrium.directed_neighbour_map()
+    # An idle converge is still one (empty) install.
+    before = len(selection.install_calls)
+    assert overlay.converge(incremental=True) == 1
+    assert selection.install_calls[before:] == [0]

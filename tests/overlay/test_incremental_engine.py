@@ -109,48 +109,71 @@ class TestFixedPointEquivalence:
         assert overlay.directed_neighbour_map() == equilibrium.directed_neighbour_map()
 
 
-class TestEngineLifecycle:
-    def test_converged_overlay_has_no_dirty_peers(self):
+class TestConvergenceBookkeeping:
+    def test_converged_overlay_has_an_empty_epoch_delta(self):
         peers = generate_peers(15, 2, seed=2)
         overlay = OverlayNetwork.build_incremental(
             peers, EmptyRectangleSelection(), incremental=True
         )
-        assert overlay._engine is not None  # noqa: SLF001 - white-box check
-        assert overlay._engine.dirty_peers == frozenset()  # noqa: SLF001
+        # Full knowledge never builds a round engine.
+        assert overlay._engine is None  # noqa: SLF001 - white-box check
+        assert overlay._needs_full == set()  # noqa: SLF001
+        assert overlay._gained == set()  # noqa: SLF001
 
-    def test_membership_events_dirty_the_engine(self):
+    def test_membership_events_fill_the_epoch_delta(self):
         peers = generate_peers(12, 2, seed=9)
         overlay = OverlayNetwork.build_incremental(
             peers, EmptyRectangleSelection(), incremental=True
         )
         overlay.add_peer(make_peer(100, (0.123, 0.456)))
-        engine = overlay._engine  # noqa: SLF001
-        assert 100 in engine.dirty_peers
+        assert 100 in overlay._needs_full  # noqa: SLF001
+        assert overlay._gained == {100}  # noqa: SLF001
+        selectors = {
+            peer_id
+            for peer_id, selected in overlay.directed_neighbour_map().items()
+            if peers[0].peer_id in selected
+        }
+        overlay.remove_peer(peers[0].peer_id)
+        assert selectors <= overlay._needs_full  # noqa: SLF001
         overlay.converge(incremental=True)
-        assert engine.dirty_peers == frozenset()
+        assert overlay._needs_full == set()  # noqa: SLF001
+        assert overlay._gained == set()  # noqa: SLF001
 
-    def test_full_sweep_round_invalidates_the_engine(self):
+    def test_full_sweep_round_clears_the_epoch_delta(self):
         peers = generate_peers(14, 2, seed=4)
         overlay = OverlayNetwork.build_incremental(
             peers, EmptyRectangleSelection(), incremental=True
         )
-        overlay.reselect_round()
-        assert overlay._engine is None  # noqa: SLF001
-        # A later incremental convergence bootstraps a fresh engine and still
-        # lands on the correct fixed point.
-        overlay.insert_and_converge(make_peer(200, (0.321, 0.654)), incremental=True)
+        overlay.add_peer(make_peer(200, (0.321, 0.654)))
+        # One full-knowledge sweep installs the fixed point, so nothing is
+        # left for the next incremental convergence to resolve.
+        assert overlay.reselect_round()
+        assert overlay._needs_full == set()  # noqa: SLF001
+        assert overlay._gained == set()  # noqa: SLF001
+        assert not overlay.reselect_round()
+        overlay.insert_and_converge(make_peer(201, (0.777, 0.111)), incremental=True)
         expected = OverlayNetwork.build_equilibrium(
-            peers + [make_peer(200, (0.321, 0.654))], EmptyRectangleSelection()
+            peers + [make_peer(200, (0.321, 0.654)), make_peer(201, (0.777, 0.111))],
+            EmptyRectangleSelection(),
         )
         assert overlay.directed_neighbour_map() == expected.directed_neighbour_map()
 
-    def test_incremental_converge_reports_rounds(self):
+    def test_full_sweep_round_invalidates_the_gossip_engine(self):
+        peers = generate_peers(14, 2, seed=4)
+        overlay = OverlayNetwork.build_incremental(
+            peers, EmptyRectangleSelection(), gossip_radius=2, incremental=True
+        )
+        assert overlay._engine is not None  # noqa: SLF001
+        assert overlay._engine.dirty_peers == frozenset()  # noqa: SLF001
+        overlay.reselect_round()
+        assert overlay._engine is None  # noqa: SLF001
+
+    def test_full_knowledge_converge_is_one_round(self):
         peers = generate_peers(10, 2, seed=1)
         overlay = OverlayNetwork(EmptyRectangleSelection())
         for peer in peers:
             overlay.add_peer(peer)
-        rounds = overlay.converge(incremental=True)
-        assert rounds >= 1
+        assert overlay.converge(incremental=True) == 1
         assert overlay.converge(incremental=True) == 1
 
 

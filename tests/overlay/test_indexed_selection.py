@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.index import SpatialIndex
 from repro.multicast.incremental import StabilityTreeMaintainer
-from repro.overlay.network import BatchJoin, ConvergenceError, OverlayNetwork
+from repro.overlay.network import BatchJoin, OverlayNetwork
 from repro.overlay.peer import make_peer
 from repro.overlay.selection.empty_rectangle import EmptyRectangleSelection
 from repro.overlay.selection.k_closest import KClosestSelection
@@ -216,14 +216,15 @@ def test_build_equilibrium_populates_the_owned_index(peers, selection_factory):
     assert overlay.directed_neighbour_map() == scan.directed_neighbour_map()
 
 
-def test_convergence_error_invalidation_matches_scan_path():
-    """The PR 4 ``ConvergenceError`` contract holds on the indexed path.
+def test_one_shot_converge_matches_scan_path_and_full_sweep():
+    """Full knowledge settles in one install, on both index arms.
 
-    A too-small ``max_rounds`` raises on both arms; the aborted engines are
-    invalidated (next incremental convergence rebootstraps all-dirty), the
-    owned index -- maintained by membership, untouched by convergence
-    failures -- still mirrors the population exactly, and the recovery
-    convergence lands both arms on the identical fixed point.
+    ``max_rounds=1`` used to abort a full-knowledge convergence with
+    :class:`ConvergenceError`; the one-shot install cannot need a second
+    round, so it succeeds, the owned index still mirrors the population
+    exactly, both arms land on the identical fixed point, and a full sweep
+    afterwards finds nothing to change.  (The gossip-radius
+    ``ConvergenceError`` contract lives in ``test_apply_batch.py``.)
     """
     rng = random.Random(42)
     peers = [
@@ -237,18 +238,18 @@ def test_convergence_error_invalidation_matches_scan_path():
     for overlay in (fast, slow):
         for peer in peers[:20]:
             overlay.add_peer(peer)
-        overlay.converge(incremental=True)
+        assert overlay.converge(incremental=True) == 1
     for overlay in (fast, slow):
         for peer in peers[20:]:
             overlay.add_peer(peer)
-        with pytest.raises(ConvergenceError):
-            overlay.converge(max_rounds=1, incremental=True)
+        overlay.remove_peer(peers[3].peer_id)
+        assert overlay.converge(max_rounds=1, incremental=True) == 1
     assert fast.index is not None
-    assert fast.index.ids() == fast.peer_ids  # membership survived the abort
-    fast_rounds = fast.converge(incremental=True)
-    slow_rounds = slow.converge(incremental=True)
-    assert fast_rounds == slow_rounds
+    assert fast.index.ids() == fast.peer_ids
     assert fast.directed_neighbour_map() == slow.directed_neighbour_map()
+    settled = fast.directed_neighbour_map()
+    assert fast.reselect_round() is False
+    assert fast.directed_neighbour_map() == settled
 
 
 def test_index_drains_to_empty_with_the_overlay():

@@ -7,11 +7,10 @@ trajectories must agree everywhere coordinate state is replicated:
 
 * indexed vs scan (``use_index``): the index is re-keyed by ``move_peer``,
   so index-answered selections must equal scan selections at every step;
-* columnar vs explicit (``columnar``): a move reaches the engine as
-  ``note_move`` in both candidate representations, and both must install
-  the same fixed point;
 * incremental vs full sweep: the post-move fixed point is a function of the
-  current coordinates alone.
+  current coordinates alone -- under full knowledge (one install per
+  converge) and under a gossip radius, where a move reaches the round
+  engine as ``note_move``.
 """
 
 import random
@@ -62,10 +61,7 @@ def _drift_schedule(overlay, rng, *, steps, incremental):
 
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
-@pytest.mark.parametrize("columnar", [True, False])
-def test_indexed_and_scan_trajectories_agree_under_drift(
-    selection_factory, columnar
-):
+def test_indexed_and_scan_trajectories_agree_under_drift(selection_factory):
     """Coordinate drift keeps the index exact: indexed == scan at every step."""
     seeds = random.Random(11)
     peers = _population(40, seeds)
@@ -75,7 +71,6 @@ def test_indexed_and_scan_trajectories_agree_under_drift(
             selection_factory(),
             rng=random.Random(5),
             use_index=use_index,
-            columnar=columnar,
         )
         for use_index in (True, False)
     }
@@ -95,20 +90,24 @@ def test_indexed_and_scan_trajectories_agree_under_drift(
 
 
 @pytest.mark.parametrize("selection_factory", _SELECTIONS)
-def test_columnar_and_explicit_agree_under_drift(selection_factory):
-    """Both candidate representations land on the same post-move fixed points."""
-    peers = _population(40, random.Random(17))
+def test_gossip_engine_matches_full_sweep_under_drift(selection_factory):
+    """Under a gossip radius the round engine tracks the full sweep step by step."""
+    peers = _population(30, random.Random(17))
     arms = {
-        columnar: OverlayNetwork.build_incremental(
-            peers, selection_factory(), rng=random.Random(5), columnar=columnar
+        incremental: OverlayNetwork.build_incremental(
+            peers,
+            selection_factory(),
+            gossip_radius=2,
+            rng=random.Random(5),
+            incremental=incremental,
         )
-        for columnar in (True, False)
+        for incremental in (True, False)
     }
-    schedules = {columnar: random.Random(41) for columnar in arms}
-    for step in range(30):
-        for columnar, overlay in arms.items():
+    schedules = {incremental: random.Random(41) for incremental in arms}
+    for step in range(20):
+        for incremental, overlay in arms.items():
             _drift_schedule(
-                overlay, schedules[columnar], steps=1, incremental=True
+                overlay, schedules[incremental], steps=1, incremental=incremental
             )
         assert (
             arms[True].directed_neighbour_map() == arms[False].directed_neighbour_map()

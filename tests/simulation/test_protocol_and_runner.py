@@ -3,8 +3,8 @@
 The figure benchmarks use the offline (full-knowledge equilibrium) builders;
 these tests are the evidence that the message-level protocol -- joins,
 gossip, reselection, construction requests -- produces the same topologies
-and trees on small instances, which is what justifies the substitution
-documented in DESIGN.md.
+and trees on small instances, which is what justifies substituting the
+offline builders for the protocol.
 """
 
 import pytest
